@@ -72,9 +72,10 @@ let env_jobs =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the level-parallel DP engines (opt-a, sap0, sap1, \
-     point-opt).  Results are bit-identical for any value.  Defaults to \
-     $(b,RS_JOBS), falling back to 1."
+    "Worker domains for the level-parallel DP engines (opt-a, \
+     opt-a-rounded, opt-a-reopt, point-opt, v-optimal, a0, prefix-opt, sap0, \
+     sap1, a0-reopt, point-opt-reopt).  Results are bit-identical for any \
+     value.  Defaults to $(b,RS_JOBS), falling back to 1."
   in
   Arg.(value & opt int env_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -102,7 +103,7 @@ let engine_conv =
 let engine_arg =
   let doc =
     "Interval-DP engine for the polynomial histogram methods (point-opt, \
-     v-optimal, sap0, sap1, a0, prefix-opt and their -reopt variants): \
+     v-optimal, a0, prefix-opt, sap0, sap1, a0-reopt, point-opt-reopt): \
      $(b,auto) picks the O(n log n) monotone divide-and-conquer engine \
      whenever the method's cost is QI-certified for the input (sorted data; \
      never for sap0/sap1/a0) and the run is sequential and uncheckpointed, \

@@ -12,8 +12,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type options = {
   opt_a_max_states : int;
-  opt_a_xs : int list;
-  rounded_x : int;
   governor : Governor.t;
   jobs : int;
   engine : H.Dp.engine;
@@ -22,173 +20,165 @@ type options = {
 let default_options =
   {
     opt_a_max_states = 60_000_000;
-    opt_a_xs = [ 8; 32; 128 ];
-    rounded_x = 8;
     governor = Governor.unlimited;
     jobs = 1;
     engine = H.Dp.Auto;
   }
 
-(* Methods whose builder reaches the interval DP — the only ones for
-   which [--engine monotone] can even apply.  OPT-A's Ktbl engine and
-   the closed-form baselines/wavelets have no monotone path, so an
-   explicit request there is a typed error, not a silent no-op. *)
+(* --- the method table ---
+
+   Every per-method decision (storage accounting, engine applicability,
+   the supervisor's fallback ladder and pricing proxy, which build is
+   laddered and checkpointable) is derived from these entries; nothing
+   else in the builder or the supervisor matches on method names. *)
+
+type construction =
+  | Baseline of (Rs_util.Prefix.t -> buckets:int -> H.Histogram.t)
+      (** closed-form heuristics; no DP *)
+  | Decomposable of H.Decomposable.t  (** the interval DP (Lemma 5) *)
+  | Opt_a of [ `Exact | `Rounded ]  (** OPT-A's pseudopolynomial DP *)
+  | Wavelet of (float array -> b:int -> W.t)
+
+type entry = {
+  name : string;
+  words_per_unit : int;
+  construction : construction;
+  reopt : bool;  (** Section-5 value re-optimization on top *)
+}
+
+let entry ?(words = 2) name construction =
+  { name; words_per_unit = words; construction; reopt = false }
+
+(* A [-reopt] entry is its base entry plus [Reopt.apply]: it builds the
+   base's boundaries with the base's options (jobs, engine) intact. *)
+let reopt name base = { base with name; reopt = true }
+
+let naive = entry "naive" (Baseline (fun p ~buckets:_ -> H.Baselines.naive p))
+let equi_width = entry "equi-width" (Baseline H.Baselines.equi_width)
+let point_opt = entry "point-opt" (Decomposable H.Decomposable.point_opt)
+let a0 = entry "a0" (Decomposable H.Decomposable.a0)
+let opt_a = entry "opt-a" (Opt_a `Exact)
+let opt_a_rounded = entry "opt-a-rounded" (Opt_a `Rounded)
+let topbb = entry "topbb" (Wavelet W.top_b_data)
+
+let registry =
+  [
+    naive;
+    equi_width;
+    entry "equi-depth" (Baseline H.Baselines.equi_depth);
+    entry "max-diff" (Baseline H.Baselines.max_diff);
+    point_opt;
+    entry "v-optimal" (Decomposable H.Decomposable.v_optimal);
+    a0;
+    entry "prefix-opt" (Decomposable H.Decomposable.prefix_opt);
+    entry ~words:3 "sap0" (Decomposable H.Decomposable.sap0);
+    entry ~words:5 "sap1" (Decomposable H.Decomposable.sap1);
+    opt_a;
+    opt_a_rounded;
+    reopt "a0-reopt" a0;
+    reopt "opt-a-reopt" opt_a;
+    reopt "equi-width-reopt" equi_width;
+    reopt "point-opt-reopt" point_opt;
+    topbb;
+    entry "topbb-rw" (Wavelet W.top_b_range_weighted);
+    entry "wave-range-opt" (Wavelet W.range_optimal);
+    entry "wave-aa" (Wavelet W.aa_2d);
+  ]
+
+let methods = List.map (fun e -> e.name) registry
+let find name = List.find_opt (fun e -> e.name = name) registry
+
+let lookup name =
+  match find name with
+  | Some e -> e
+  | None ->
+      Error.raise_error (Error.Unknown_method { name; known = methods })
+
+let is_decomposable e =
+  match e.construction with Decomposable _ -> true | _ -> false
+
+(* Exact OPT-A is the only governed ladder and the only long-running DP,
+   hence the only checkpointable build. *)
+let is_laddered e =
+  match e.construction with Opt_a `Exact -> not e.reopt | _ -> false
+
+(* Only the interval DP has a monotone engine: OPT-A's Ktbl engine and
+   the closed-form baselines/wavelets have none, so an explicit
+   [--engine monotone] there is a typed error, not a silent no-op. *)
 let monotone_capable =
-  [
-    "point-opt";
-    "v-optimal";
-    "a0";
-    "prefix-opt";
-    "sap0";
-    "sap1";
-    "a0-reopt";
-    "point-opt-reopt";
-  ]
-
-type kind =
-  | Hist of (options -> Rs_util.Prefix.t -> buckets:int -> H.Histogram.t)
-  | Wave of (float array -> b:int -> W.t)
-
-let require_integral name p =
-  Array.iter
-    (fun v ->
-      Checks.check (Float.is_integer v)
-        (Printf.sprintf
-           "Builder: method %S requires integral frequencies (round the data \
-            first)"
-           name))
-    (Rs_util.Prefix.data p)
-
-let opt_a opts p ~buckets =
-  require_integral "opt-a" p;
-  (H.Opt_a.build_staged ~max_states:opts.opt_a_max_states ~xs:opts.opt_a_xs
-     ~governor:opts.governor ~jobs:opts.jobs p ~buckets)
-    .H.Opt_a.histogram
-
-let reopt base _opts p ~buckets =
-  let h = base p ~buckets in
-  H.Reopt.apply p h
-
-let registry : (string * int * kind) list =
-  [
-    ("naive", 2, Hist (fun _ p ~buckets:_ -> H.Baselines.naive p));
-    ("equi-width", 2, Hist (fun _ p ~buckets -> H.Baselines.equi_width p ~buckets));
-    ("equi-depth", 2, Hist (fun _ p ~buckets -> H.Baselines.equi_depth p ~buckets));
-    ("max-diff", 2, Hist (fun _ p ~buckets -> H.Baselines.max_diff p ~buckets));
-    ( "point-opt",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          H.Vopt.build ~engine:o.engine ~governor:o.governor
-            ~stage:"point-opt" ~jobs:o.jobs p ~buckets) );
-    ( "v-optimal",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          H.Vopt.build ~weighted:false ~engine:o.engine ~governor:o.governor
-            ~stage:"v-optimal" ~jobs:o.jobs p ~buckets) );
-    ( "a0",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          H.A0.build ~engine:o.engine ~governor:o.governor ~stage:"a0" p
-            ~buckets) );
-    ( "prefix-opt",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          H.Prefix_opt.build ~engine:o.engine ~governor:o.governor
-            ~stage:"prefix-opt" p ~buckets) );
-    ( "sap0",
-      3,
-      Hist
-        (fun o p ~buckets ->
-          H.Sap0.build ~engine:o.engine ~governor:o.governor ~stage:"sap0"
-            ~jobs:o.jobs p ~buckets) );
-    ( "sap1",
-      5,
-      Hist
-        (fun o p ~buckets ->
-          H.Sap1.build ~engine:o.engine ~governor:o.governor ~stage:"sap1"
-            ~jobs:o.jobs p ~buckets) );
-    ("opt-a", 2, Hist opt_a);
-    ( "opt-a-rounded",
-      2,
-      Hist
-        (fun opts p ~buckets ->
-          (* Definition 3 rounds the data itself, so float frequencies
-             are fine here. *)
-          (H.Opt_a.build_rounded ~max_states:opts.opt_a_max_states
-             ~governor:opts.governor ~jobs:opts.jobs p ~buckets
-             ~x:opts.rounded_x)
-            .H.Opt_a.histogram) );
-    ( "a0-reopt",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          reopt
-            (fun p ~buckets ->
-              H.A0.build ~engine:o.engine ~governor:o.governor
-                ~stage:"a0-reopt" p ~buckets)
-            o p ~buckets) );
-    ("opt-a-reopt", 2, Hist (fun opts p ~buckets -> H.Reopt.apply p (opt_a opts p ~buckets)));
-    ( "equi-width-reopt",
-      2,
-      Hist (reopt (fun p ~buckets -> H.Baselines.equi_width p ~buckets)) );
-    ( "point-opt-reopt",
-      2,
-      Hist
-        (fun o p ~buckets ->
-          reopt
-            (fun p ~buckets ->
-              H.Vopt.build ~engine:o.engine ~governor:o.governor
-                ~stage:"point-opt-reopt" p ~buckets)
-            o p ~buckets) );
-    ("topbb", 2, Wave (fun data ~b -> W.top_b_data data ~b));
-    ("topbb-rw", 2, Wave (fun data ~b -> W.top_b_range_weighted data ~b));
-    ("wave-range-opt", 2, Wave (fun data ~b -> W.range_optimal data ~b));
-    ("wave-aa", 2, Wave (fun data ~b -> W.aa_2d data ~b));
-  ]
-
-let methods = List.map (fun (name, _, _) -> name) registry
+  List.filter_map
+    (fun e -> if is_decomposable e then Some e.name else None)
+    registry
 
 (* The supervisor's cross-method degradation ladder: which cheaper
    methods to fall back to when a per-segment build keeps failing.
    Mirrors OPT-A's internal ladder (exact -> rounded -> A0) and gives
    every other bucketed histogram the A0 polynomial floor; wavelet
    methods floor at the greedy data-domain TOPBB.  The floors
-   themselves have no fallback — below them there is nothing cheaper
-   that still answers range queries. *)
+   themselves (and NAIVE, which is cheaper still) have no fallback —
+   below them there is nothing cheaper that still answers range
+   queries. *)
 let fallback_ladder name =
-  match name with
-  | "opt-a" -> [ "opt-a-rounded"; "a0" ]
-  | "opt-a-rounded" | "opt-a-reopt" -> [ "a0" ]
-  | "a0" | "naive" | "topbb" -> []
-  | _ -> (
-      match List.find_opt (fun (n, _, _) -> n = name) registry with
-      | Some (_, _, Hist _) -> [ "a0" ]
-      | Some (_, _, Wave _) -> [ "topbb" ]
-      | None -> [])
+  match find name with
+  | None -> []
+  | Some e when e == a0 || e == naive || e == topbb -> []
+  | Some e when is_laddered e -> [ opt_a_rounded.name; a0.name ]
+  | Some { construction = Wavelet _; _ } -> [ topbb.name ]
+  | Some _ -> [ a0.name ]
 
-let lookup name =
-  match List.find_opt (fun (n, _, _) -> n = name) registry with
-  | Some entry -> entry
-  | None ->
-      Error.raise_error (Error.Unknown_method { name; known = methods })
+(* The greedy planner prices a segment with the requested method's own
+   error curve when cheap, and with the polynomial A0 floor as a proxy
+   for the (expensive) OPT-A family. *)
+let pricing_proxy name =
+  match find name with
+  | Some { construction = Opt_a _; _ } -> a0.name
+  | _ -> name
 
-let words_per_unit name =
-  let _, w, _ = lookup name in
-  w
+let checkpointable name =
+  match find name with Some e -> is_laddered e | None -> false
+
+let words_per_unit name = (lookup name).words_per_unit
 
 let units_for_budget ~method_name ~budget_words =
   max 1 (budget_words / words_per_unit method_name)
 
+let require_integral p =
+  Array.iter
+    (fun v ->
+      Checks.check (Float.is_integer v)
+        (Printf.sprintf
+           "Builder: method %S requires integral frequencies (round the data \
+            first)"
+           opt_a.name))
+    (Rs_util.Prefix.data p)
+
+let construct o e ds ~units =
+  let p = Dataset.prefix ds in
+  let hist h = Synopsis.Histogram (if e.reopt then H.Reopt.apply p h else h) in
+  match e.construction with
+  | Baseline f -> hist (f p ~buckets:units)
+  | Decomposable d ->
+      hist
+        (H.Decomposable.build ~engine:o.engine ~governor:o.governor
+           ~stage:e.name ~jobs:o.jobs d p ~buckets:units)
+  | Opt_a `Exact ->
+      require_integral p;
+      hist
+        (H.Opt_a.build_staged ~max_states:o.opt_a_max_states
+           ~governor:o.governor ~jobs:o.jobs p ~buckets:units)
+          .H.Opt_a.histogram
+  | Opt_a `Rounded ->
+      (* Definition 3 rounds the data itself, so float frequencies are
+         fine here. *)
+      hist
+        (H.Opt_a.build_rounded ~max_states:o.opt_a_max_states
+           ~governor:o.governor ~jobs:o.jobs p ~buckets:units ~x:8)
+          .H.Opt_a.histogram
+  | Wavelet f -> Synopsis.Wavelet (f (Dataset.values ds) ~b:units)
+
 let build ?(options = default_options) ds ~method_name ~budget_words =
-  let _, _, kind = lookup method_name in
-  let units = units_for_budget ~method_name ~budget_words in
-  match kind with
-  | Hist f -> Synopsis.Histogram (f options (Dataset.prefix ds) ~buckets:units)
-  | Wave f -> Synopsis.Wavelet (f (Dataset.values ds) ~b:units)
+  construct options (lookup method_name) ds
+    ~units:(units_for_budget ~method_name ~budget_words)
 
 (* --- the Result-returning boundary with degradation reporting --- *)
 
@@ -249,12 +239,10 @@ let ladder_error attempts =
 
 let build_result ?(options = default_options) ?deadline ?checkpoint_path
     ?resume_from ?checkpoint_every ds ~method_name ~budget_words =
-  match List.find_opt (fun (n, _, _) -> n = method_name) registry with
+  match find method_name with
   | None ->
       Error.fail (Error.Unknown_method { name = method_name; known = methods })
-  | Some _
-    when options.engine = H.Dp.Monotone
-         && not (List.mem method_name monotone_capable) ->
+  | Some e when options.engine = H.Dp.Monotone && not (is_decomposable e) ->
       Error.fail
         (Error.Invalid_input
            (Printf.sprintf
@@ -278,16 +266,16 @@ let build_result ?(options = default_options) ?deadline ?checkpoint_path
               "engine \"monotone\" is sequential-only (jobs=%d requested); \
                drop --jobs or use --engine level"
               options.jobs))
-  | Some _
-    when method_name <> "opt-a"
+  | Some e
+    when (not (is_laddered e))
          && (checkpoint_path <> None || resume_from <> None) ->
       Error.fail
         (Error.Invalid_input
            (Printf.sprintf
-              "checkpoint/resume is only supported for method \"opt-a\" (its \
-               DP is the only long-running one); %S is not checkpointable"
-              method_name))
-  | Some (_, _, kind) ->
+              "checkpoint/resume is only supported for method %S (its DP is \
+               the only long-running one); %S is not checkpointable"
+              opt_a.name method_name))
+  | Some e ->
       let governor =
         match (deadline, checkpoint_path, checkpoint_every) with
         | None, None, None -> options.governor
@@ -341,17 +329,17 @@ let build_result ?(options = default_options) ?deadline ?checkpoint_path
                 m "build %s failed: %s" method_name (Error.to_string e)));
         res
       in
-      if method_name = "opt-a" then
+      let units = units_for_budget ~method_name ~budget_words in
+      if is_laddered e then
         (* The governed ladder: deliver from a lower rung rather than
            fail, and report every rung attempted. *)
         run (fun () ->
             let p = Dataset.prefix ds in
-            require_integral "opt-a" p;
-            let units = units_for_budget ~method_name ~budget_words in
+            require_integral p;
             match
               H.Opt_a.build_governed ~max_states:options.opt_a_max_states
-                ~xs:options.opt_a_xs ~governor ~jobs:options.jobs
-                ?checkpoint_path ?resume_from p ~buckets:units
+                ~governor ~jobs:options.jobs ?checkpoint_path ?resume_from p
+                ~buckets:units
             with
             | staged ->
                 {
@@ -371,7 +359,5 @@ let build_result ?(options = default_options) ?deadline ?checkpoint_path
                 Error.raise_error (ladder_error attempts))
       else
         run (fun () ->
-            ignore kind;
             Governor.check governor ~stage:method_name;
-            let synopsis = build ~options ds ~method_name ~budget_words in
-            { synopsis; report = None })
+            { synopsis = construct options e ds ~units; report = None })

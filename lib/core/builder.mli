@@ -17,7 +17,7 @@
     - ["sap0"], ["sap1"] — optimal suffix/prefix histograms (paper §2.2);
     - ["opt-a"] — exact range-optimal histogram via the staged
       pseudopolynomial DP (paper §2.1);
-    - ["opt-a-rounded"] — OPT-A-ROUNDED with grid [options.rounded_x];
+    - ["opt-a-rounded"] — OPT-A-ROUNDED with grid [x = 8];
     - ["a0-reopt"], ["opt-a-reopt"], ["equi-width-reopt"],
       ["point-opt-reopt"] — Section-5 value re-optimization on top of the
       base method's boundaries;
@@ -31,23 +31,25 @@
 
 type options = {
   opt_a_max_states : int;  (** state budget for the exact DP (default 6·10⁷) *)
-  opt_a_xs : int list;  (** seeding grids for the staged driver *)
-  rounded_x : int;  (** grid for ["opt-a-rounded"] (default 8) *)
   governor : Rs_util.Governor.t;
-      (** wall-clock governor threaded through the ["opt-a"]-family
-          constructions (default {!Rs_util.Governor.unlimited});
+      (** wall-clock governor threaded through every DP construction
+          (default {!Rs_util.Governor.unlimited});
           {!build_result}'s [deadline] overrides it *)
   jobs : int;
       (** worker-domain count for the level-parallel DP engines
-          (default 1 = sequential).  Reaches ["opt-a"]/["opt-a-rounded"]
-          and the [Dp]-backed methods ["sap0"], ["sap1"], ["point-opt"],
-          ["v-optimal"].  Results are bit-identical for every job count
-          ({!Rs_util.Pool}); the ladder's A0 floor stays sequential. *)
+          (default 1 = sequential).  Reaches every DP method:
+          ["opt-a"], ["opt-a-rounded"], ["opt-a-reopt"] and the
+          {!Rs_histogram.Decomposable} methods ["point-opt"],
+          ["v-optimal"], ["a0"], ["prefix-opt"], ["sap0"], ["sap1"],
+          ["a0-reopt"], ["point-opt-reopt"].  Results are bit-identical
+          for every job count ({!Rs_util.Pool}); the OPT-A ladder's A0
+          floor stays sequential. *)
   engine : Rs_histogram.Dp.engine;
       (** interval-DP engine selection (default [Auto]) for the
-          [Dp]-backed methods.  [Auto] takes the monotone
-          divide-and-conquer engine exactly when the method's cost is
-          QI-certified for the input (sorted data for
+          {!Rs_histogram.Decomposable} methods listed under [jobs].
+          [Auto] takes the monotone divide-and-conquer engine exactly
+          when the method's cost is QI-certified for the input (sorted
+          data for
           ["point-opt"]/["v-optimal"]/["prefix-opt"];
           never for ["sap0"]/["sap1"]/["a0"]), [jobs ≤ 1] and no
           checkpoint/resume is requested — otherwise the level engine.
@@ -68,9 +70,19 @@ val fallback_ladder : string -> string list
     [["topbb"]]; the floors (["a0"], ["naive"], ["topbb"]) and unknown
     names return [[]]. *)
 
+val pricing_proxy : string -> string
+(** The method the supervisor's greedy planner prices a segment with:
+    ["a0"] for the OPT-A family (["opt-a"], ["opt-a-rounded"],
+    ["opt-a-reopt"]), the method itself otherwise. *)
+
+val checkpointable : string -> bool
+(** Whether {!build_result} accepts a checkpoint path for the method
+    (only ["opt-a"], the governed ladder). *)
+
 val words_per_unit : string -> int
 (** Storage words per bucket/coefficient for the named method.
-    Raises [Invalid_argument] on unknown names. *)
+    Raises [Rs_util.Error.Rs_error (Unknown_method _)] on unknown
+    names. *)
 
 val units_for_budget : method_name:string -> budget_words:int -> int
 (** [max 1 (budget / words_per_unit)]. *)
@@ -114,7 +126,7 @@ val build_result :
   (built, Rs_util.Error.t) result
 (** Like {!build} but never raises.  [deadline] (seconds of wall clock)
     creates a {!Rs_util.Governor} for this build; ["opt-a"] degrades
-    down its ladder (OPT-A → OPT-A-ROUNDED(x ∈ [opt_a_xs]) → A0) under
+    down its ladder (OPT-A → OPT-A-ROUNDED(x ∈ [8; 32; 128]) → A0) under
     state-budget or deadline pressure and reports each rung, so a
     deadline normally yields [Ok] from a lower rung rather than
     [Error (Timeout _)].  Errors: [Unknown_method], [Invalid_input]

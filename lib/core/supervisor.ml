@@ -225,16 +225,10 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
   in
   let fp = fingerprint ds ~method_name ~budget_words ~segments ~planner in
   let store = Option.map Store.open_dir manifest_dir in
-  (* Pricing for the greedy planner: the requested method's own error
-     curve when cheap, the polynomial A0 floor as a proxy when the
-     requested method is the (expensive) exact DP family.  Pricing
-     builds are pure planning work: ungoverned, sequential, invisible
-     to metrics. *)
-  let pricing_method =
-    match method_name with
-    | "opt-a" | "opt-a-rounded" | "opt-a-reopt" -> "a0"
-    | m -> m
-  in
+  (* Pricing for the greedy planner ({!Builder.pricing_proxy}).
+     Pricing builds are pure planning work: ungoverned, sequential,
+     invisible to metrics. *)
+  let pricing_method = Builder.pricing_proxy method_name in
   let price ~seg ~units =
     let b = units * Builder.words_per_unit pricing_method in
     let syn =
@@ -413,7 +407,7 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
      depend on the job count; the supervisor re-records segment-level
      outcomes itself. *)
   let run_attempt i rung =
-    let checkpointable = Option.is_some store && rung = "opt-a" in
+    let checkpointable = Option.is_some store && Builder.checkpointable rung in
     let ckpt =
       if checkpointable then Some (seg_ckpt (Option.get store) i) else None
     in

@@ -159,8 +159,7 @@ val solve_with :
   unit ->
   result
 (** [solve] or [solve_monotone] according to {!use_monotone}
-    ([engine] defaults to [Auto], [jobs] to 1).  The decomposable
-    method builders ({!Vopt}, {!Sap0}, {!Sap1}, {!A0}, {!Prefix_opt})
-    all dispatch through here; [certified] is the method's own
+    ([engine] defaults to [Auto], [jobs] to 1).  Every {!Decomposable}
+    method dispatches through here; [certified] is the method's own
     statement that its cost carries a THEORY.md §11 quadrangle
     certificate. *)

@@ -100,7 +100,7 @@ let integer_prefix p =
    and any upper bound on OPT (here: the A0 histogram's exact SSE) can
    stand in. *)
 let derive_key_cap ?ub ?governor ?stage ctx p ~buckets =
-  let a0 = A0.build ?governor ?stage p ~buckets in
+  let a0 = Decomposable.build ?governor ?stage Decomposable.a0 p ~buckets in
   let a0_sse = Exact_sse.avg_histogram ctx (Histogram.bucketing a0) in
   let ub = match ub with Some u -> Float.min u a0_sse | None -> a0_sse in
   let n = float_of_int (Prefix.n p) in
@@ -758,7 +758,10 @@ let build_governed ?(max_states = 10_000_000) ?(xs = [ 8; 32; 128 ])
       Trace.with_span "opt_a.rung" @@ fun () ->
       match
         Faults.trip "ladder.a0";
-        let histogram = A0.build p ~buckets:(max 1 (min buckets (Prefix.n p))) in
+        let histogram =
+          Decomposable.build Decomposable.a0 p
+            ~buckets:(max 1 (min buckets (Prefix.n p)))
+        in
         let ctx = Cost.make p in
         let sse = Exact_sse.avg_histogram ctx (Histogram.bucketing histogram) in
         { histogram; sse; states = 0 }

@@ -7,6 +7,7 @@ module Exact_sse = H.Exact_sse
 module Prefix = Rs_util.Prefix
 module Error = Rs_query.Error
 module Rng = Rs_dist.Rng
+module D = Rs_histogram.Decomposable
 
 let random_bucketing rng ~n ~buckets =
   let b = min buckets n in
@@ -185,7 +186,7 @@ let test_sap0_dp_optimal () =
     let p = Helpers.prefix_of data in
     let ctx = Cost.make p in
     for b = 1 to min 4 n do
-      let _, cost = H.Sap0.build_with_cost p ~buckets:b in
+      let _, cost = D.build_with_cost D.sap0 p ~buckets:b in
       let best = min_over_bucketings ~n ~buckets:b (Exact_sse.sap0_histogram ctx) in
       Helpers.check_close ~tol:1e-6 "sap0 dp = exhaustive" best cost
     done
@@ -199,7 +200,7 @@ let test_sap1_dp_optimal () =
     let p = Helpers.prefix_of data in
     let ctx = Cost.make p in
     for b = 1 to min 4 n do
-      let _, cost = H.Sap1.build_with_cost p ~buckets:b in
+      let _, cost = D.build_with_cost D.sap1 p ~buckets:b in
       let best = min_over_bucketings ~n ~buckets:b (Exact_sse.sap1_histogram ctx) in
       Helpers.check_close ~tol:1e-6 "sap1 dp = exhaustive" best cost
     done
@@ -212,9 +213,9 @@ let test_dp_cost_equals_true_sse () =
     let n = 3 + Rng.int rng 15 in
     let data = Helpers.random_int_data rng ~n ~hi:20 in
     let p = Helpers.prefix_of data in
-    let h0, c0 = H.Sap0.build_with_cost p ~buckets:3 in
+    let h0, c0 = D.build_with_cost D.sap0 p ~buckets:3 in
     Helpers.check_close ~tol:1e-6 "sap0" (Helpers.hist_sse p h0) c0;
-    let h1, c1 = H.Sap1.build_with_cost p ~buckets:3 in
+    let h1, c1 = D.build_with_cost D.sap1 p ~buckets:3 in
     Helpers.check_close ~tol:1e-6 "sap1" (Helpers.hist_sse p h1) c1
   done
 
@@ -227,8 +228,8 @@ let test_sap1_beats_sap0_with_same_buckets () =
     let data = Helpers.random_int_data rng ~n ~hi:25 in
     let p = Helpers.prefix_of data in
     for b = 1 to 5 do
-      let _, c0 = H.Sap0.build_with_cost p ~buckets:b in
-      let _, c1 = H.Sap1.build_with_cost p ~buckets:b in
+      let _, c0 = D.build_with_cost D.sap0 p ~buckets:b in
+      let _, c1 = D.build_with_cost D.sap1 p ~buckets:b in
       Alcotest.(check bool) "sap1 <= sap0" true (c1 <= c0 +. 1e-6)
     done
   done
@@ -241,7 +242,7 @@ let test_more_buckets_no_worse () =
   let p = Helpers.prefix_of data in
   let prev = ref Float.infinity in
   for b = 1 to 8 do
-    let _, c = H.Sap0.build_with_cost p ~buckets:b in
+    let _, c = D.build_with_cost D.sap0 p ~buckets:b in
     Alcotest.(check bool) "monotone" true (c <= !prev +. 1e-9);
     prev := c
   done
@@ -249,10 +250,10 @@ let test_more_buckets_no_worse () =
 let test_singletons_zero_error () =
   let data = [| 3.; 1.; 4.; 1.; 5. |] in
   let p = Helpers.prefix_of data in
-  let h, c = H.Sap0.build_with_cost p ~buckets:5 in
+  let h, c = D.build_with_cost D.sap0 p ~buckets:5 in
   Helpers.check_close "zero cost" 0. c;
   Helpers.check_close "zero sse" 0. (Helpers.hist_sse p h);
-  let h1, _ = H.Sap1.build_with_cost p ~buckets:5 in
+  let h1, _ = D.build_with_cost D.sap1 p ~buckets:5 in
   Helpers.check_close "sap1 zero" 0. (Helpers.hist_sse p h1)
 
 (* --- V-Optimal / POINT-OPT --- *)
@@ -265,7 +266,7 @@ let test_vopt_unweighted_optimal () =
     let p = Helpers.prefix_of data in
     let ctx = Cost.make p in
     for b = 1 to min 3 n do
-      let _, cost = H.Vopt.build_with_cost ~weighted:false p ~buckets:b in
+      let _, cost = D.build_with_cost D.v_optimal p ~buckets:b in
       let best =
         min_over_bucketings ~n ~buckets:b (fun bk ->
             Bucket.fold
@@ -283,7 +284,7 @@ let test_vopt_point_queries () =
   let n = 12 in
   let data = Helpers.random_int_data rng ~n ~hi:20 in
   let p = Helpers.prefix_of data in
-  let h, cost = H.Vopt.build_with_cost ~weighted:false p ~buckets:4 in
+  let h, cost = D.build_with_cost D.v_optimal p ~buckets:4 in
   let w = Rs_query.Workload.point_queries ~n in
   let sse = Error.sse_of_workload p w (Helpers.hist_estimator h) in
   Helpers.check_close ~tol:1e-6 "point sse" sse cost
@@ -298,7 +299,7 @@ let test_prefix_opt_optimal_for_prefix_queries () =
     let p = Helpers.prefix_of data in
     let ctx = Cost.make p in
     for b = 1 to min 3 n do
-      let _, cost = H.Prefix_opt.build_with_cost p ~buckets:b in
+      let _, cost = D.build_with_cost D.prefix_opt p ~buckets:b in
       let best =
         min_over_bucketings ~n ~buckets:b (fun bk ->
             Bucket.fold (fun acc _ ~l ~r -> acc +. Cost.a0_prefix ctx ~l ~r) 0. bk)
@@ -313,7 +314,7 @@ let test_prefix_opt_cost_is_prefix_sse () =
   let n = 14 in
   let data = Helpers.random_int_data rng ~n ~hi:20 in
   let p = Helpers.prefix_of data in
-  let h, cost = H.Prefix_opt.build_with_cost p ~buckets:4 in
+  let h, cost = D.build_with_cost D.prefix_opt p ~buckets:4 in
   let w = Rs_query.Workload.of_pairs ~n (Array.init n (fun i -> (1, i + 1))) in
   Helpers.check_close ~tol:1e-6 "prefix sse"
     (Error.sse_of_workload p w (Helpers.hist_estimator h))
@@ -325,7 +326,7 @@ let test_prefix_opt_not_range_optimal () =
   let data = Array.map float_of_int (Rs_dist.Datasets.paper ()) in
   let p = Helpers.prefix_of data in
   let { H.Opt_a.sse = opt; _ } = H.Opt_a.build_staged ~max_states:2_000_000 p ~buckets:6 in
-  let pre = H.Prefix_opt.build p ~buckets:6 in
+  let pre = D.build D.prefix_opt p ~buckets:6 in
   let pre_sse = Helpers.hist_sse p pre in
   Alcotest.(check bool) "prefix-opt worse on all ranges" true (pre_sse >= opt)
 

@@ -28,6 +28,7 @@ module Dataset = Rs_core.Dataset
 module Builder = Rs_core.Builder
 module Synopsis = Rs_core.Synopsis
 module Qerr = Rs_query.Error
+module D = Rs_histogram.Decomposable
 
 (* --- sorted-instance generator --- *)
 
@@ -181,7 +182,7 @@ let test_non_qi_cost_misoptimizes () =
    for it (unlike the point costs and a0_prefix).  On sorted-zipf-1023
    the D&C engine commits to a boundary one off from the optimum and
    lands ~4.5e-5 rel worse; this test pins that fact, which is why
-   [Sap1.build] passes [certified:false]. *)
+   [Decomposable.sap1] is never certified. *)
 let test_sap1_sorted_misoptimizes () =
   let ds = Dataset.generate "sorted-zipf-1023" in
   let p = Dataset.prefix ds in
@@ -247,12 +248,12 @@ let prop_auto_fallback_unsorted =
           let b : H.t = build Dp.Level p ~buckets in
           H.bucketing a = H.bucketing b)
         [
-          (fun engine p ~buckets -> Rs_histogram.Vopt.build ~engine p ~buckets);
-          (fun engine p ~buckets -> Rs_histogram.Sap0.build ~engine p ~buckets);
-          (fun engine p ~buckets -> Rs_histogram.Sap1.build ~engine p ~buckets);
-          (fun engine p ~buckets -> Rs_histogram.A0.build ~engine p ~buckets);
+          (fun engine p ~buckets -> D.build D.point_opt ~engine p ~buckets);
+          (fun engine p ~buckets -> D.build D.sap0 ~engine p ~buckets);
+          (fun engine p ~buckets -> D.build D.sap1 ~engine p ~buckets);
+          (fun engine p ~buckets -> D.build D.a0 ~engine p ~buckets);
           (fun engine p ~buckets ->
-            Rs_histogram.Prefix_opt.build ~engine p ~buckets);
+            D.build D.prefix_opt ~engine p ~buckets);
         ])
 
 (* Auto on a sorted input takes the monotone engine for certified
@@ -284,9 +285,9 @@ let prop_auto_upgrade_sorted =
               (total_of_bucketing cost (H.bucketing b))
           end)
         [
-          ("vopt", fun engine p ~buckets -> Rs_histogram.Vopt.build ~engine p ~buckets);
+          ("vopt", fun engine p ~buckets -> D.build D.point_opt ~engine p ~buckets);
           ("prefix-opt", fun engine p ~buckets ->
-            Rs_histogram.Prefix_opt.build ~engine p ~buckets);
+            D.build D.prefix_opt ~engine p ~buckets);
         ])
 
 let test_explicit_monotone_refusals () =
@@ -297,19 +298,19 @@ let test_explicit_monotone_refusals () =
   let p_unsorted = Prefix.create unsorted in
   (* Uncertified method, even on sorted data. *)
   expect_invalid_input "sap0 + monotone" (fun () ->
-      ignore (Rs_histogram.Sap0.build ~engine:Dp.Monotone p_sorted ~buckets:4));
+      ignore (D.build D.sap0 ~engine:Dp.Monotone p_sorted ~buckets:4));
   expect_invalid_input "a0 + monotone" (fun () ->
-      ignore (Rs_histogram.A0.build ~engine:Dp.Monotone p_sorted ~buckets:4));
+      ignore (D.build D.a0 ~engine:Dp.Monotone p_sorted ~buckets:4));
   expect_invalid_input "sap1 + monotone (non-QI even sorted)" (fun () ->
-      ignore (Rs_histogram.Sap1.build ~engine:Dp.Monotone p_sorted ~buckets:4));
+      ignore (D.build D.sap1 ~engine:Dp.Monotone p_sorted ~buckets:4));
   (* Certified method, unsorted data. *)
   expect_invalid_input "vopt + monotone + unsorted" (fun () ->
-      ignore (Rs_histogram.Vopt.build ~engine:Dp.Monotone p_unsorted ~buckets:4));
+      ignore (D.build D.point_opt ~engine:Dp.Monotone p_unsorted ~buckets:4));
   (* Certified method + sorted data + jobs > 1. *)
   expect_invalid_input "vopt + monotone + jobs" (fun () ->
-      ignore (Rs_histogram.Vopt.build ~engine:Dp.Monotone ~jobs:2 p_sorted ~buckets:4));
+      ignore (D.build D.point_opt ~engine:Dp.Monotone ~jobs:2 p_sorted ~buckets:4));
   (* And the happy path actually works. *)
-  let h = Rs_histogram.Vopt.build ~engine:Dp.Monotone p_sorted ~buckets:4 in
+  let h = D.build D.point_opt ~engine:Dp.Monotone p_sorted ~buckets:4 in
   Alcotest.(check int) "monotone build delivers" 4 (H.buckets h)
 
 let check_builder_error what r =
@@ -457,9 +458,9 @@ let prop_lowering_matches_estimate =
       let buckets = 1 + Rng.int rng 6 in
       let hists =
         [
-          Rs_histogram.Vopt.build p ~buckets;
-          Rs_histogram.Sap0.build p ~buckets;
-          Rs_histogram.Sap1.build p ~buckets;
+          D.build D.point_opt p ~buckets;
+          D.build D.sap0 p ~buckets;
+          D.build D.sap1 p ~buckets;
           Rs_histogram.Wsap0.build p
             (Rs_histogram.Wsap0.recency_weights ~n ~half_life:8.)
             ~buckets;
@@ -507,7 +508,7 @@ let prop_lowering_matches_estimate =
 
 let test_rounded_is_opaque () =
   let p = Prefix.create [| 1.; 4.; 2.; 8.; 5.; 7. |] in
-  let h = Rs_histogram.Vopt.build p ~buckets:2 in
+  let h = D.build D.point_opt p ~buckets:2 in
   let rounded = H.make ~rounded:true ~name:"r" (H.bucketing h) (H.repr h) in
   (match H.lowering rounded with
   | H.Opaque -> ()

@@ -5,6 +5,7 @@ module Exact_sse = H.Exact_sse
 module Opt_a = H.Opt_a
 module Prefix = Rs_util.Prefix
 module Rng = Rs_dist.Rng
+module D = Rs_histogram.Decomposable
 
 let min_over_bucketings ~n ~buckets f =
   List.fold_left
@@ -95,7 +96,7 @@ let test_sap1_no_worse_than_opt_a_same_buckets () =
     let p = Helpers.prefix_of data in
     for b = 1 to 4 do
       let { Opt_a.sse = opt_a; _ } = Opt_a.build_exact p ~buckets:b in
-      let _, sap1 = H.Sap1.build_with_cost p ~buckets:b in
+      let _, sap1 = D.build_with_cost D.sap1 p ~buckets:b in
       Alcotest.(check bool)
         (Printf.sprintf "sap1 <= opt-a (n=%d b=%d)" n b)
         true (sap1 <= opt_a +. 1e-6)
@@ -117,10 +118,10 @@ let test_opt_a_no_worse_than_a0_and_baselines () =
           true
           (opt <= Helpers.hist_sse p h +. 1e-6))
       [
-        H.A0.build p ~buckets:b;
+        D.build D.a0 p ~buckets:b;
         (* weighted POINT-OPT stores weighted means, which fall outside
            the class OPT-A is optimal over — use the unweighted variant *)
-        H.Vopt.build ~weighted:false p ~buckets:b;
+        D.build D.v_optimal p ~buckets:b;
         H.Baselines.equi_width p ~buckets:b;
         H.Baselines.equi_depth p ~buckets:b;
         H.Baselines.max_diff p ~buckets:b;

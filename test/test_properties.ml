@@ -7,6 +7,7 @@ module Opt_a = H.Opt_a
 module Prefix = Rs_util.Prefix
 module Rng = Rs_dist.Rng
 module W = Rs_wavelet.Synopsis
+module D = Rs_histogram.Decomposable
 
 let opt_sse p ~buckets = (Opt_a.build_exact p ~buckets).Opt_a.sse
 
@@ -26,11 +27,11 @@ let test_scaling_quadratic () =
     Helpers.check_close ~tol:1e-6 "opt-a scales"
       (9. *. opt_sse p ~buckets:b)
       (opt_sse ps ~buckets:b);
-    let _, sap0 = H.Sap0.build_with_cost p ~buckets:b in
-    let _, sap0s = H.Sap0.build_with_cost ps ~buckets:b in
+    let _, sap0 = D.build_with_cost D.sap0 p ~buckets:b in
+    let _, sap0s = D.build_with_cost D.sap0 ps ~buckets:b in
     Helpers.check_close ~tol:1e-6 "sap0 scales" (9. *. sap0) sap0s;
-    let _, sap1 = H.Sap1.build_with_cost p ~buckets:b in
-    let _, sap1s = H.Sap1.build_with_cost ps ~buckets:b in
+    let _, sap1 = D.build_with_cost D.sap1 p ~buckets:b in
+    let _, sap1s = D.build_with_cost D.sap1 ps ~buckets:b in
     Helpers.check_close ~tol:1e-6 "sap1 scales" (9. *. sap1) sap1s;
     Helpers.check_close ~tol:1e-5 "wavelet scales"
       (9. *. wave_sse p data ~b)
@@ -50,11 +51,11 @@ let test_reversal_invariance () =
     let b = 1 + Rng.int rng 3 in
     Helpers.check_close ~tol:1e-6 "opt-a reversal"
       (opt_sse p ~buckets:b) (opt_sse pr ~buckets:b);
-    let _, s0 = H.Sap0.build_with_cost p ~buckets:b in
-    let _, s0r = H.Sap0.build_with_cost pr ~buckets:b in
+    let _, s0 = D.build_with_cost D.sap0 p ~buckets:b in
+    let _, s0r = D.build_with_cost D.sap0 pr ~buckets:b in
     Helpers.check_close ~tol:1e-6 "sap0 reversal" s0 s0r;
-    let _, s1 = H.Sap1.build_with_cost p ~buckets:b in
-    let _, s1r = H.Sap1.build_with_cost pr ~buckets:b in
+    let _, s1 = D.build_with_cost D.sap1 p ~buckets:b in
+    let _, s1r = D.build_with_cost D.sap1 pr ~buckets:b in
     Helpers.check_close ~tol:1e-6 "sap1 reversal" s1 s1r;
     (* Reversal permutes Haar detail magnitudes level-wise (up to sign),
        so the range-optimal wavelet SSE is invariant when n+1 is a power
@@ -77,11 +78,11 @@ let test_shift_invariance_avg_class () =
     let b = 1 + Rng.int rng 3 in
     Helpers.check_close ~tol:1e-5 "opt-a shift"
       (opt_sse p ~buckets:b) (opt_sse psh ~buckets:b);
-    let a0 = H.A0.build p ~buckets:b and a0s = H.A0.build psh ~buckets:b in
+    let a0 = D.build D.a0 p ~buckets:b and a0s = D.build D.a0 psh ~buckets:b in
     Helpers.check_close ~tol:1e-5 "a0 shift"
       (Helpers.hist_sse p a0) (Helpers.hist_sse psh a0s);
-    let _, v = H.Vopt.build_with_cost p ~buckets:b in
-    let _, vs = H.Vopt.build_with_cost psh ~buckets:b in
+    let _, v = D.build_with_cost D.point_opt p ~buckets:b in
+    let _, vs = D.build_with_cost D.point_opt psh ~buckets:b in
     Helpers.check_close ~tol:1e-5 "point-opt objective shift" v vs
   done
 
@@ -94,7 +95,7 @@ let test_additivity () =
   let estimators =
     [
       ("opt-a", Helpers.hist_estimator (Opt_a.build p ~buckets:4));
-      ("a0", Helpers.hist_estimator (H.A0.build p ~buckets:4));
+      ("a0", Helpers.hist_estimator (D.build D.a0 p ~buckets:4));
       ("equi-width", Helpers.hist_estimator (H.Baselines.equi_width p ~buckets:4));
       ( "wave-range-opt",
         fun ~a ~b -> W.estimate (W.range_optimal data ~b:4) ~a ~b );

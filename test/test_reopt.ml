@@ -4,6 +4,7 @@ module Reopt = H.Reopt
 module Matrix = Rs_linalg.Matrix
 module Prefix = Rs_util.Prefix
 module Rng = Rs_dist.Rng
+module D = Rs_histogram.Decomposable
 
 let random_bucketing rng ~n ~buckets =
   let b = min buckets n in
@@ -93,8 +94,8 @@ let test_reopt_never_worse_than_averages () =
           (Helpers.hist_sse p h' <= Helpers.hist_sse p h +. 1e-6))
       [
         H.Baselines.equi_width p ~buckets:b;
-        H.A0.build p ~buckets:b;
-        H.Vopt.build p ~buckets:b;
+        D.build D.a0 p ~buckets:b;
+        D.build D.point_opt p ~buckets:b;
       ]
   done
 

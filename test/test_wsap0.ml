@@ -4,6 +4,7 @@ module Bucket = H.Bucket
 module Prefix = Rs_util.Prefix
 module Error = Rs_query.Error
 module Rng = Rs_dist.Rng
+module D = Rs_histogram.Decomposable
 
 let random_weights rng n =
   {
@@ -60,7 +61,7 @@ let test_uniform_weights_match_sap0 () =
     let data = Helpers.random_int_data rng ~n ~hi:25 in
     let p = Helpers.prefix_of data in
     for b = 1 to 4 do
-      let _, c0 = H.Sap0.build_with_cost p ~buckets:b in
+      let _, c0 = D.build_with_cost D.sap0 p ~buckets:b in
       let _, cw = Wsap0.build_with_cost p (Wsap0.uniform_weights ~n) ~buckets:b in
       Helpers.check_close ~tol:1e-6 "same optimum" c0 cw
     done
@@ -100,7 +101,7 @@ let test_aware_beats_blind () =
     let weights = Wsap0.recency_weights ~n ~half_life:(float_of_int n /. 8.) in
     let ctx = Wsap0.make p weights in
     let b = 3 in
-    let blind, _ = H.Sap0.build_with_cost p ~buckets:b in
+    let blind, _ = D.build_with_cost D.sap0 p ~buckets:b in
     let blind_cost =
       Wsap0.weighted_sse_of_bucketing ctx (H.Histogram.bucketing blind)
     in
